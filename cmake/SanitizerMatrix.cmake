@@ -5,7 +5,8 @@
 # the surfaces that sanitizer is best at:
 #
 #   ubsan_smoke  undefined + GATHER_CHECK contracts  test_geometry, test_sim
-#   asan_smoke   address                             test_obs, test_campaign_service
+#   asan_smoke   address                             test_obs, test_campaign_service,
+#                                                    test_algorithm (class-M window walk)
 #   tsan_smoke   thread                              test_runner, test_campaign_service,
 #                                                    test_kernels (sharded view fill),
 #                                                    gather_campaignd + daemon_stress.py
@@ -64,8 +65,8 @@ if(NOT GATHER_HAS_UBSAN)
 endif()
 
 _gather_smoke(asan_smoke address OFF
-  "test_obs,test_campaign_service"
-  "tests/test_obs,tests/test_campaign_service")
+  "test_obs,test_campaign_service,test_algorithm"
+  "tests/test_obs,tests/test_campaign_service,tests/test_algorithm")
 if(NOT GATHER_HAS_ASAN)
   set_tests_properties(asan_smoke PROPERTIES DISABLED TRUE)
 endif()

@@ -32,15 +32,18 @@ namespace gather::core {
 class wait_free_gather final : public gathering_algorithm {
  public:
   [[nodiscard]] vec2 destination(const snapshot& s) const override;
-  /// Batched variant: classifies (and, in the A case, elects) once for the
-  /// whole configuration instead of once per occupied location.
+  /// Batched variant: classifies (and, in the A case, elects; in the L2W
+  /// case, finds the extreme pair) once for the whole configuration instead
+  /// of once per occupied location.  In the M case it finds every blocked
+  /// robot through one polar order about the target instead of U path
+  /// scans.  Bit-identical to per-location destination() calls.
   [[nodiscard]] std::vector<vec2> destinations(const configuration& c) const override;
   [[nodiscard]] std::string_view name() const override { return "wait-free-gather"; }
 
   // -- exposed case rules (for tests and benchmarks) -------------------------
 
   /// M-case rule: destination of a robot at `self` when `elected` is the
-  /// unique maximum-multiplicity point.
+  /// unique maximum-multiplicity point.  One O(U) scan for a blocker.
   [[nodiscard]] static vec2 multiple_case(const configuration& c, vec2 self,
                                           vec2 elected);
 
