@@ -4,9 +4,13 @@
 # sanitizer (cmake/SanitizerSmoke.cmake does the heavy lifting), covering
 # the surfaces that sanitizer is best at:
 #
-#   ubsan_smoke  undefined + GATHER_CHECK contracts  test_geometry, test_sim
+#   ubsan_smoke  undefined + GATHER_CHECK contracts  test_geometry, test_sim,
+#                                                    test_async_equivalence (hinted
+#                                                    apply_moves, grid snap)
 #   asan_smoke   address                             test_obs, test_campaign_service,
-#                                                    test_algorithm (class-M window walk)
+#                                                    test_algorithm (class-M window walk),
+#                                                    test_async_equivalence (stamp and
+#                                                    live-list indexing)
 #   tsan_smoke   thread                              test_runner, test_campaign_service,
 #                                                    test_kernels (sharded view fill),
 #                                                    gather_campaignd + daemon_stress.py
@@ -58,15 +62,15 @@ function(_gather_smoke name sanitize invariants targets runs)
 endfunction()
 
 _gather_smoke(ubsan_smoke undefined ON
-  "test_geometry,test_sim"
-  "tests/test_geometry,tests/test_sim")
+  "test_geometry,test_sim,test_async_equivalence"
+  "tests/test_geometry,tests/test_sim,tests/test_async_equivalence")
 if(NOT GATHER_HAS_UBSAN)
   set_tests_properties(ubsan_smoke PROPERTIES DISABLED TRUE)
 endif()
 
 _gather_smoke(asan_smoke address OFF
-  "test_obs,test_campaign_service,test_algorithm"
-  "tests/test_obs,tests/test_campaign_service,tests/test_algorithm")
+  "test_obs,test_campaign_service,test_algorithm,test_async_equivalence"
+  "tests/test_obs,tests/test_campaign_service,tests/test_algorithm,tests/test_async_equivalence")
 if(NOT GATHER_HAS_ASAN)
   set_tests_properties(asan_smoke PROPERTIES DISABLED TRUE)
 endif()

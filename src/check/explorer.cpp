@@ -10,6 +10,7 @@
 #include "config/state_key.h"
 #include "core/lemma_registry.h"
 #include "core/predicates.h"
+#include "sim/gathered.h"
 
 namespace gather::check {
 
@@ -37,6 +38,7 @@ struct explorer {
   const std::vector<vec2>* seed = nullptr;
   double delta_abs = 0.0;
   bool stop = false;
+  sim::gathered_check gathered;
 
   void run_seed(const std::vector<vec2>& pts) {
     seed = &pts;
@@ -68,28 +70,6 @@ struct explorer {
     ce.path = path_positions;
     result.counterexamples.push_back(std::move(ce));
     if (result.counterexamples.size() >= opts.max_counterexamples) stop = true;
-  }
-
-  /// Def. 9 termination check, mirroring engine::gathered (no byzantine
-  /// robots in the checked model).
-  [[nodiscard]] bool gathered(const configuration& c,
-                              const std::vector<vec2>& positions,
-                              const std::vector<std::uint8_t>& live) const {
-    const vec2* point = nullptr;
-    vec2 first{};
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      if (!live[i]) continue;
-      const vec2 p = c.snapped(positions[i]);
-      if (point == nullptr) {
-        first = p;
-        point = &first;
-      } else if (!c.tolerance().same_point(*point, p)) {
-        return false;
-      }
-    }
-    if (point == nullptr) return false;
-    return c.tolerance().same_point(
-        spec.algorithm->destination({c, *point}), *point);
   }
 
   void visit(std::vector<vec2> positions, std::vector<std::uint8_t> live,
@@ -184,9 +164,12 @@ struct explorer {
     }
     if (stop) return;
 
-    // Terminal states, in the engine's order: gathered, then the
+    // Terminal states, in the engine's order: gathered (Def. 9 over the live
+    // robots; the checked model has no byzantine robots), then the
     // all-stationary fixpoint, then the round bound.
-    if (gathered(c, positions, live)) {
+    if (gathered(
+            c, positions, [&](std::size_t i) { return live[i] != 0; },
+            [](std::size_t, vec2) { return false; }, *spec.algorithm)) {
       ++result.terminal_gathered;
       return;
     }

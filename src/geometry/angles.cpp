@@ -122,7 +122,7 @@ namespace {
 double nearest_rep_from_lb(double theta, const std::vector<double>& reps,
                            std::size_t lb) {
   const std::size_t m = reps.size();
-  std::size_t cand[4];
+  std::size_t cand[4] = {};
   std::size_t nc = 0;
   const auto add = [&](std::size_t i) {
     if (nc == 0 || cand[nc - 1] != i) cand[nc++] = i;

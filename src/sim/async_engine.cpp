@@ -1,11 +1,13 @@
 #include "sim/async_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
 #include "obs/events.h"
 #include "obs/metrics_registry.h"
+#include "sim/gathered.h"
 #include "sim/spec.h"
 
 namespace gather::sim {
@@ -57,112 +59,78 @@ async_result async_engine::run() {
 
   std::vector<phase> phases(n, phase::idle);
   std::vector<geom::vec2> targets(n);
-  std::vector<geom::vec2> snapshot_base(n);  // positions hash proxy at Look time
   std::vector<std::uint8_t> live(n, 1);
-  std::vector<std::size_t> starving(n, 0);
-  // Per-step write mask (the apply_moves moved hint): at most one robot
-  // moves per step, so the step-start recanonicalization is O(1) on the
-  // delta path instead of O(n).
+  // The live robots in index order; only crashes change it.
+  std::vector<std::size_t> live_idx(n);
+  std::iota(live_idx.begin(), live_idx.end(), std::size_t{0});
+  // Starvation clock: robot i's stamp is 1 + the step it was last picked
+  // (0 = never), so it has starved for `step - stamp` steps.
+  std::vector<std::uint64_t> stamp(n, 0);
+
+  // Positions epoch: bumped by every write that changes a position (a Move
+  // or a snap).  A Move is stale iff the epoch moved since that robot's Look.
+  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> look_epoch(n, 0);
+  // Write mask (the apply_moves moved hint) and whether any robot was
+  // written since the last recanonicalization; all set for the first step.
   std::vector<std::uint8_t> moved(n, 1);
+  bool wrote = true;
+  auto write = [&](std::size_t i, geom::vec2 p) {
+    if (p == positions_[i]) return;
+    positions_[i] = p;
+    moved[i] = 1;
+    wrote = true;
+    ++epoch;
+  };
   bool snap_identity = false;  // the last executed snap pass changed nothing
 
   // Step-start configuration, recanonicalized in place: the refreshed-tol
   // policy recomputes tol::for_points with the delta-derived absolute floor
   // on every apply_moves, matching a freshly built configuration bit for
-  // bit, and a step that leaves positions bitwise unchanged (Look-only
-  // steps, once positions are snapped) keeps the derived-geometry cache.
+  // bit, and a step that wrote nothing skips the mutation (a no_op: positions
+  // are bitwise unchanged) and keeps the derived-geometry cache.
   config::configuration cfg;
   cfg.set_tol_refresh(1e-9 * delta_abs);
+  const config::configuration& c = cfg;
 
-  auto checksum = [&]() {
-    geom::vec2 s{};
-    for (const geom::vec2& p : positions_) s += p;
-    return s;
-  };
-
-  auto gathered = [&](const config::configuration& c) {
-    const geom::vec2* point = nullptr;
-    geom::vec2 first{};
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i]) continue;
-      const geom::vec2 p = c.snapped(positions_[i]);
-      if (point == nullptr) {
-        first = p;
-        point = &first;
-      } else if (!c.tolerance().same_point(*point, p)) {
-        return false;
-      }
-      // A live robot armed with a stale far-away target will still move.
-      if (phases[i] == phase::armed &&
-          !c.tolerance().same_point(targets[i], p)) {
-        return false;
-      }
-    }
-    if (point == nullptr) return false;
-    return c.tolerance().same_point(algo_->destination({c, *point}), *point);
+  gathered_check gathered;
+  const auto counted = [&](std::size_t i) { return live[i] != 0; };
+  // A live robot armed with a stale far-away target will still move.
+  const auto armed_elsewhere = [&](std::size_t i, geom::vec2 p) {
+    return phases[i] == phase::armed &&
+           !c.tolerance().same_point(targets[i], p);
   };
 
   std::size_t step = 0;
-
-  // Advance one robot's phase machine.
-  auto look = [&](std::size_t i, const config::configuration& c) {
-    targets[i] = algo_->destination({c, c.snapped(positions_[i])});
-    snapshot_base[i] = checksum();
-    phases[i] = phase::armed;
-    if (sink_ != nullptr) {
-      sink_->on_event(
-          obs::event::activation(run_id_, step, static_cast<std::int64_t>(i)));
-    }
-  };
-  auto move = [&](std::size_t i, const config::configuration& c) {
-    const geom::vec2 before = checksum();
-    if (geom::distance(before, snapshot_base[i]) > 1e-9) ++m_stale;
-    const geom::vec2 from = positions_[i];
-    positions_[i] = movement_->stop_point(from, targets[i], delta_abs, random);
-    moved[i] = 1;
-    if (!c.tolerance().same_point(positions_[i], targets[i])) {
-      ++m_truncated;
-      if (sink_ != nullptr) {
-        sink_->on_event(obs::event::move_truncated(
-            run_id_, step, static_cast<std::int64_t>(i),
-            geom::distance(from, targets[i]),
-            geom::distance(from, positions_[i])));
-      }
-    }
-    phases[i] = phase::idle;
-    ++m_cycles;
-  };
-
   std::size_t la_ma_cursor = 0;  // for look_all_move_all
   bool la_phase_is_look = true;
 
   for (; step < opts_.max_steps; ++step) {
-    const config::mutation_report rep = cfg.apply_moves(positions_, moved);
-    moved.assign(n, 0);
-    const config::configuration& c = cfg;
+    // Recanonicalize only after a write; a step that wrote nothing leaves
+    // positions bitwise unchanged, which apply_moves would report as a no_op.
+    bool no_op = true;
+    if (wrote) {
+      no_op = cfg.apply_moves(positions_, moved).no_op;
+      moved.assign(n, 0);
+      wrote = false;
+    }
     // Snap pass, skipped when provably an identity (same reasoning as the
-    // ATOM engine: no_op round + a previously observed identity snap).
-    if (!(rep.no_op && snap_identity)) {
+    // ATOM engine: no_op step + a previously observed identity snap).
+    if (!(no_op && snap_identity)) {
       bool snap_changed = false;
       for (std::size_t i = 0; i < n; ++i) {
         const geom::vec2 s = c.snapped(positions_[i]);
-        if (s.x != positions_[i].x || s.y != positions_[i].y) {
-          positions_[i] = s;
-          moved[i] = 1;
+        if (s != positions_[i]) {
+          write(i, s);
           snap_changed = true;
         }
       }
       snap_identity = !snap_changed;
     }
 
-    if (gathered(c)) {
+    if (gathered(c, positions_, counted, armed_elsewhere, *algo_)) {
       result.status = sim_status::gathered;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (live[i]) {
-          result.gather_point = c.snapped(positions_[i]);
-          break;
-        }
-      }
+      result.gather_point = c.snapped(positions_[live_idx.front()]);
       if (sink_ != nullptr) {
         sink_->on_event(obs::event::gathered(
             run_id_, step, result.gather_point.x, result.gather_point.y));
@@ -171,30 +139,20 @@ async_result async_engine::run() {
     }
 
     // Crash injection (budget semantics as in the ATOM engine).
-    std::size_t live_count =
-        static_cast<std::size_t>(std::count(live.begin(), live.end(), std::uint8_t{1}));
     const crash_context cctx{step, positions_, live, nullptr};
     for (std::size_t idx : crash_->crashes(cctx, random)) {
       if (idx >= n || !live[idx]) continue;
-      if (live_count <= 1) break;
+      if (live_idx.size() <= 1) break;
       live[idx] = 0;
-      --live_count;
+      live_idx.erase(std::lower_bound(live_idx.begin(), live_idx.end(), idx));
       ++m_crashes;
       if (sink_ != nullptr) {
         sink_->on_event(
             obs::event::crash(run_id_, step, static_cast<std::int64_t>(idx)));
       }
     }
-    if (live_count == 0) {
-      result.status = sim_status::all_crashed;
-      break;
-    }
 
     // Pick the robot whose phase advances, per the interleaving policy.
-    std::vector<std::size_t> live_idx;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (live[i]) live_idx.push_back(i);
-    }
     std::size_t pick = live_idx.front();
     switch (opts_.policy) {
       case async_policy::atomic_sequential: {
@@ -230,20 +188,43 @@ async_result async_engine::run() {
         break;
       }
     }
-    // Fairness backstop.
-    for (std::size_t i : live_idx) {
-      if (starving[i] >= opts_.fairness_bound) {
-        pick = i;
-        break;
-      }
+    // Fairness backstop: the lowest-index live robot that has not been
+    // picked for fairness_bound steps.  At most fairness_bound robots were
+    // picked in the last fairness_bound steps, so the scan stops within the
+    // first fairness_bound + 1 live robots.
+    if (step >= opts_.fairness_bound) {
+      const auto starved =
+          std::find_if(live_idx.begin(), live_idx.end(), [&](std::size_t i) {
+            return stamp[i] + opts_.fairness_bound <= step;
+          });
+      if (starved != live_idx.end()) pick = *starved;
     }
-    for (std::size_t i : live_idx) ++starving[i];
-    starving[pick] = 0;
+    stamp[pick] = step + 1;
 
     if (phases[pick] == phase::idle) {
-      look(pick, c);
+      targets[pick] = algo_->destination({c, c.snapped(positions_[pick])});
+      look_epoch[pick] = epoch;
+      phases[pick] = phase::armed;
+      if (sink_ != nullptr) {
+        sink_->on_event(obs::event::activation(
+            run_id_, step, static_cast<std::int64_t>(pick)));
+      }
     } else {
-      move(pick, c);
+      if (epoch != look_epoch[pick]) ++m_stale;
+      const geom::vec2 from = positions_[pick];
+      write(pick,
+            movement_->stop_point(from, targets[pick], delta_abs, random));
+      if (!c.tolerance().same_point(positions_[pick], targets[pick])) {
+        ++m_truncated;
+        if (sink_ != nullptr) {
+          sink_->on_event(obs::event::move_truncated(
+              run_id_, step, static_cast<std::int64_t>(pick),
+              geom::distance(from, targets[pick]),
+              geom::distance(from, positions_[pick])));
+        }
+      }
+      phases[pick] = phase::idle;
+      ++m_cycles;
     }
   }
 

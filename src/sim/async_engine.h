@@ -70,7 +70,14 @@ struct async_options {
   std::size_t max_steps = 400'000;   ///< phase-advancement events
   std::uint64_t seed = 1;
   async_policy policy = async_policy::random_interleaving;
-  std::size_t fairness_bound = 128;  ///< max steps between a robot's events
+  /// Intended as the max steps between a robot's events.  Known defect: the
+  /// backstop serves only the lowest-index live robot that has waited this
+  /// long.  With more than fairness_bound + 1 robots live, from step
+  /// fairness_bound on it serves the fairness_bound + 1 lowest-index live
+  /// robots in turn, forever, and every other robot starves
+  /// (docs/PERFORMANCE.md, "ASYNC step cost").  Kept as is: fixing it
+  /// changes pinned benchmark outputs.
+  std::size_t fairness_bound = 128;
 };
 
 struct async_result {
@@ -82,7 +89,9 @@ struct async_result {
   std::vector<std::uint8_t> final_live;
   std::size_t crashes = 0;
   /// Moves executed whose destination was computed from a snapshot that no
-  /// longer matched the configuration at move time (staleness exposure).
+  /// longer matched the configuration at move time (staleness exposure): some
+  /// robot's position was written, by a Move or a snap, between the robot's
+  /// Look and its Move.
   std::size_t stale_moves = 0;
   /// The absolute movement guarantee the run used (see sim_result::delta_abs).
   double delta_abs = 0.0;

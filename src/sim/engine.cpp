@@ -54,25 +54,16 @@ const configuration& engine::current_configuration() {
   return config_;
 }
 
-bool engine::gathered(const configuration& c) const {
-  // Def. 9: all live robots share one location and the algorithm instructs
-  // the robots there to stay.
-  const vec2* point = nullptr;
-  vec2 first{};
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    if (!live_[i]) continue;
-    // Byzantine robots are not required to gather (only correct ones are).
-    if (byzantine_ != nullptr && byzantine_->is_byzantine(i)) continue;
-    const vec2 p = c.snapped(positions_[i]);
-    if (point == nullptr) {
-      first = p;
-      point = &first;
-    } else if (!c.tolerance().same_point(*point, p)) {
-      return false;
-    }
-  }
-  if (point == nullptr) return false;  // no live robot
-  return c.tolerance().same_point(algo_->destination({c, *point}), *point);
+bool engine::gathered(const configuration& c) {
+  // Def. 9 over the live robots; byzantine robots are not required to gather
+  // (only correct ones are).
+  return gathered_(
+      c, positions_,
+      [&](std::size_t i) {
+        return live_[i] != 0 &&
+               (byzantine_ == nullptr || !byzantine_->is_byzantine(i));
+      },
+      [](std::size_t, vec2) { return false; }, *algo_);
 }
 
 sim_result engine::run() {

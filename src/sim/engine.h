@@ -29,6 +29,7 @@
 #include "config/classify.h"
 #include "core/algorithm.h"
 #include "sim/crash.h"
+#include "sim/gathered.h"
 #include "sim/movement.h"
 #include "sim/scheduler.h"
 #include "util/enum_name.h"
@@ -161,7 +162,7 @@ class engine {
   /// applies; the mutation report lands in `last_report_` and the mask is
   /// reset for the next round's writers.
   [[nodiscard]] const configuration& current_configuration();
-  [[nodiscard]] bool gathered(const configuration& c) const;
+  [[nodiscard]] bool gathered(const configuration& c);
 
   std::vector<vec2> positions_;
   std::vector<std::uint8_t> live_;
@@ -179,6 +180,7 @@ class engine {
   std::vector<std::uint8_t> scratch_moved_;
   config::mutation_report last_report_;  // report of the last apply_moves
   bool snap_identity_ = false;  // the last executed snap pass changed nothing
+  gathered_check gathered_;     // Def. 9, with its refutation witness
   const gathering_algorithm* algo_;
   activation_scheduler* scheduler_;
   movement_adversary* movement_;
