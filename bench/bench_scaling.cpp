@@ -13,19 +13,22 @@
 // pre-subquadratic reference oracle kept in views_reference.cpp, a log-log
 // slope is fitted per phase, and GATHER_PROF call counters are captured on a
 // small fixed grid.  --json PATH writes the machine-readable results
-// (schema gather-bench-scaling-v1; committed baseline: bench/BENCH_PR5.json,
-// compared by tools/bench/compare.py under the `bench-smoke` ctest label).
+// (schema gather-bench-scaling-v1; committed baseline: bench/BENCH_PR5.json).
+// The `bench_smoke_run` ctest (label `bench-smoke`) runs --smoke once, and
+// three ctests gate that run through tools/bench/compare.py, one per
+// committed baseline: bench_smoke_scaling (BENCH_PR5.json),
+// bench_smoke_incremental (BENCH_PR9.json), bench_smoke_kernels
+// (BENCH_PR10.json).
 //
 // Part 3 (PR 9): round-phase cost of the delta-aware mutation API.  At fixed
 // n = 10^4 isolated singletons under the engines' refreshed-tolerance policy,
 // one round moves k in {1, sqrt(n), n} robots and the hinted
 // apply_moves(raw, mask) recanonicalization is timed against a cold rebuild
 // of the same input.  The JSON phase is "round_update" with the point key
-// holding k (not n); its committed baseline is bench/BENCH_PR9.json, gated
-// by the `bench_smoke_incremental` ctest.  The fitted slope uses only the
-// k >= sqrt(n) segment: below that the honest O(n) floors (the hint-mask
-// walk and the per-round refreshed-tolerance bounds check) dominate and the
-// curve is deliberately flat.
+// holding k (not n); its committed baseline is bench/BENCH_PR9.json.  The
+// fitted slope uses only the k >= sqrt(n) segment: below that the honest
+// O(n) floors (the hint-mask walk and the per-round refreshed-tolerance
+// bounds check) dominate and the curve is deliberately flat.
 //
 // Part 4 (PR 10): batch-kernel phases.  "fill" times the bulk all-view fill
 // (shared SoA distance table + SIMD angle/key kernels + sharded emission)
@@ -38,8 +41,7 @@
 // is capped at a small n in full mode.  "round_class_a" is a single
 // end-to-end point: construct + classify a class-A (uniform-random) instance
 // at n = 10^4 cold, the full per-round decision cost at the paper's largest
-// advertised swarm size.  Committed baseline: bench/BENCH_PR10.json, gated
-// by the `bench_smoke_kernels` ctest.
+// advertised swarm size.  Committed baseline: bench/BENCH_PR10.json.
 //
 // Flags: --smoke   small phase grid, skip the (slow) E11 simulations
 //        --json P  write results as JSON to P

@@ -11,6 +11,7 @@
 #include "core/lemma_registry.h"
 #include "core/predicates.h"
 #include "sim/gathered.h"
+#include "sim/round.h"
 
 namespace gather::check {
 
@@ -39,16 +40,19 @@ struct explorer {
   double delta_abs = 0.0;
   bool stop = false;
   sim::gathered_check gathered;
+  // Round scratch.  The explorer rebuilds every state's configuration in
+  // full, so it ignores the snap pass's write marks.
+  std::vector<std::uint8_t> snap_marks;
+  std::vector<vec2> stationary;
 
   void run_seed(const std::vector<vec2>& pts) {
     seed = &pts;
-    // Same derivation as sim::engine: delta from the *seed* diameter, and
-    // the tolerance floor pinned to it, so explorer and replay agree bit
-    // for bit on every snapped coordinate.
-    delta_abs =
-        std::max(opts.delta_fraction * configuration(pts).diameter(), 1e-12);
+    // Delta from the *seed* diameter and the tolerance floor pinned to it,
+    // as in the engines, so explorer and replay agree bit for bit on every
+    // snapped coordinate.
+    delta_abs = sim::run_delta(opts.delta_fraction, configuration(pts));
     cfg = configuration();
-    cfg.set_tol_refresh(1e-9 * delta_abs);
+    sim::pin_tolerance(cfg, delta_abs);
     path_steps.clear();
     path_positions.clear();
     visit(pts, std::vector<std::uint8_t>(pts.size(), 1), 0, 0, false,
@@ -84,12 +88,12 @@ struct explorer {
     }
     cfg.apply_moves(positions);
     const configuration& c = cfg;
-    // Physically merge co-located robots, exactly like engine::run snaps
-    // positions_ in place at round start: move origins, recorded paths and
-    // the engine's replayed round_record.positions all see the clustered
+    // The engine's snap pass at round start: move origins, recorded paths
+    // and the engine's replayed round_record.positions all see the clustered
     // representatives, so a replayed trace walks through bit-identical
     // vectors even when tolerance clustering moves a coordinate.
-    for (vec2& p : positions) p = c.snapped(p);
+    snap_marks.resize(positions.size());
+    sim::snap_positions(c, positions, snap_marks);
     const config::config_class cls = config::classify(c).cls;
 
     path_positions.push_back(positions);
@@ -174,13 +178,7 @@ struct explorer {
       return;
     }
     const auto dests = core::destinations(c, *spec.algorithm);
-    std::size_t stationary = 0;
-    for (std::size_t k = 0; k < dests.size(); ++k) {
-      if (c.tolerance().same_point(dests[k], c.occupied()[k].position)) {
-        ++stationary;
-      }
-    }
-    if (stationary == c.distinct_count()) {
+    if (sim::find_stationary(c, dests, stationary)) {
       ++result.terminal_stalled;
       return;
     }
@@ -194,13 +192,10 @@ struct explorer {
     const std::size_t n = positions.size();
     std::vector<vec2> robot_dest(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i]) continue;
-      const vec2 self = c.snapped(positions[i]);
-      // Grid-served first tolerance match == the former linear first-match
-      // scan over the sorted occupied array.
-      vec2 dest = self;
-      if (const auto k = c.first_occupied_match(self)) dest = dests[*k];
-      robot_dest[i] = dest;
+      if (live[i]) {
+        robot_dest[i] =
+            sim::robot_destination(c, dests, c.snapped(positions[i]));
+      }
     }
 
     std::vector<std::size_t> alive;

@@ -19,10 +19,11 @@
 // Exploration is a DFS over (positions, liveness, crash budget, round); each
 // state's configuration is materialized in one shared `configuration` via
 // the mutation API (`apply_moves`), which keeps the derived-geometry cache's
-// buffers warm across the entire search.  The per-round mechanics mirror
-// sim::engine::run exactly -- same delta derivation, tolerance policy,
-// snapping, destination lookup, and the shared sim::truncated_stop rule --
-// so a recorded decision path replays bit-identically through the engine
+// buffers warm across the entire search.  The per-round mechanics are the
+// engines' own: delta, the tolerance floor, the snap pass, the per-robot
+// destination lookup and the stall test come from sim/round.h, Def. 9 from
+// sim/gathered.h and truncated stops from sim::truncated_stop, so a recorded
+// decision path replays bit-identically through sim::run
 // (sim::replay_schedule); tests/check_test.cpp pins this round for round.
 #pragma once
 

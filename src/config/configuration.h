@@ -229,7 +229,7 @@ class configuration {
   /// mutation the tolerance is recomputed from the new raw points
   /// (geom::tol::for_points) with its absolute floor raised to at least
   /// `abs_floor`.  This is the engines' policy: the model's delta gives the
-  /// run an absolute length scale (see sim::engine).  Recanonicalizes.
+  /// run an absolute length scale (sim::pin_tolerance).  Recanonicalizes.
   mutation_report set_tol_refresh(double abs_floor);
 
   /// Mutation counter: bumped on every mutation that changes the canonical

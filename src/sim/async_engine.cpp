@@ -8,6 +8,7 @@
 #include "obs/events.h"
 #include "obs/metrics_registry.h"
 #include "sim/gathered.h"
+#include "sim/round.h"
 #include "sim/spec.h"
 
 namespace gather::sim {
@@ -22,31 +23,26 @@ enum class phase : std::uint8_t { idle, armed };
 
 }  // namespace
 
-async_engine::async_engine(const sim_spec& spec)
-    : positions_(spec.initial),
-      algo_(spec.algorithm),
-      movement_(spec.movement),
-      crash_(spec.crash),
-      opts_(spec.async),
-      sink_(spec.sink),
-      metrics_(spec.metrics),
-      run_id_(spec.run_id) {
-  if (algo_ == nullptr) throw std::invalid_argument("sim_spec: algorithm unset");
-  if (movement_ == nullptr) throw std::invalid_argument("sim_spec: movement unset");
-  if (crash_ == nullptr) throw std::invalid_argument("sim_spec: crash unset");
-  if (positions_.empty()) throw std::invalid_argument("sim_spec: no robots");
-}
+async_result run_async(const sim_spec& spec) {
+  obs::prof_session profiling(spec.profile);
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(what);
+  };
+  require(spec.algorithm != nullptr, "sim_spec: algorithm unset");
+  require(spec.movement != nullptr, "sim_spec: movement unset");
+  require(spec.crash != nullptr, "sim_spec: crash unset");
+  require(!spec.initial.empty(), "sim_spec: no robots");
 
-async_result async_engine::run() {
+  std::vector<geom::vec2> positions = spec.initial;
   async_result result;
-  rng random(opts_.seed);
-  const std::size_t n = positions_.size();
+  rng random(spec.async.seed);
+  const std::size_t n = positions.size();
 
-  const config::configuration c0(positions_);
-  const double delta_abs = std::max(opts_.delta_fraction * c0.diameter(), 1e-12);
-  result.delta_abs = delta_abs;
+  const config::configuration initial(positions);
+  const double delta = run_delta(spec.async.delta_fraction, initial);
+  result.delta_abs = delta;
   const bool initial_bivalent =
-      config::classify(c0).cls == config::config_class::bivalent;
+      config::classify(initial).cls == config::config_class::bivalent;
 
   obs::metrics_registry local;
   std::uint64_t& m_steps = local.counter("async.steps");
@@ -55,7 +51,9 @@ async_result async_engine::run() {
   std::uint64_t& m_crashes = local.counter("async.crashes");
   std::uint64_t& m_truncated = local.counter("async.moves_truncated");
   local.counter("async.runs") = 1;
-  local.gauge("async.delta_abs") = delta_abs;
+  local.gauge("async.delta_abs") = delta;
+  adversary_steps adversary{*spec.crash, *spec.movement, delta, spec.sink,
+                            spec.run_id, m_crashes, m_truncated};
 
   std::vector<phase> phases(n, phase::idle);
   std::vector<geom::vec2> targets(n);
@@ -67,21 +65,15 @@ async_result async_engine::run() {
   // (0 = never), so it has starved for `step - stamp` steps.
   std::vector<std::uint64_t> stamp(n, 0);
 
-  // Positions epoch: bumped by every write that changes a position (a Move
-  // or a snap).  A Move is stale iff the epoch moved since that robot's Look.
+  // Positions epoch: bumped by every Move that changes a position and by
+  // every snap pass that changes any.  A Move is stale iff the epoch moved
+  // since that robot's Look.
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> look_epoch(n, 0);
   // Write mask (the apply_moves moved hint) and whether any robot was
   // written since the last recanonicalization; all set for the first step.
   std::vector<std::uint8_t> moved(n, 1);
   bool wrote = true;
-  auto write = [&](std::size_t i, geom::vec2 p) {
-    if (p == positions_[i]) return;
-    positions_[i] = p;
-    moved[i] = 1;
-    wrote = true;
-    ++epoch;
-  };
   bool snap_identity = false;  // the last executed snap pass changed nothing
 
   // Step-start configuration, recanonicalized in place: the refreshed-tol
@@ -90,7 +82,7 @@ async_result async_engine::run() {
   // bit, and a step that wrote nothing skips the mutation (a no_op: positions
   // are bitwise unchanged) and keeps the derived-geometry cache.
   config::configuration cfg;
-  cfg.set_tol_refresh(1e-9 * delta_abs);
+  pin_tolerance(cfg, delta);
   const config::configuration& c = cfg;
 
   gathered_check gathered;
@@ -105,56 +97,43 @@ async_result async_engine::run() {
   std::size_t la_ma_cursor = 0;  // for look_all_move_all
   bool la_phase_is_look = true;
 
-  for (; step < opts_.max_steps; ++step) {
+  for (; step < spec.async.max_steps; ++step) {
     // Recanonicalize only after a write; a step that wrote nothing leaves
     // positions bitwise unchanged, which apply_moves would report as a no_op.
     bool no_op = true;
     if (wrote) {
-      no_op = cfg.apply_moves(positions_, moved).no_op;
+      no_op = cfg.apply_moves(positions, moved).no_op;
       moved.assign(n, 0);
       wrote = false;
     }
-    // Snap pass, skipped when provably an identity (same reasoning as the
-    // ATOM engine: no_op step + a previously observed identity snap).
+    // The snap pass, skipped when provably an identity (same reasoning as
+    // the ATOM engine: no_op step + a previously observed identity snap).
     if (!(no_op && snap_identity)) {
-      bool snap_changed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        const geom::vec2 s = c.snapped(positions_[i]);
-        if (s != positions_[i]) {
-          write(i, s);
-          snap_changed = true;
-        }
+      snap_identity = !snap_positions(c, positions, moved);
+      if (!snap_identity) {
+        wrote = true;
+        ++epoch;
       }
-      snap_identity = !snap_changed;
     }
 
-    if (gathered(c, positions_, counted, armed_elsewhere, *algo_)) {
+    if (gathered(c, positions, counted, armed_elsewhere, *spec.algorithm)) {
       result.status = sim_status::gathered;
-      result.gather_point = c.snapped(positions_[live_idx.front()]);
-      if (sink_ != nullptr) {
-        sink_->on_event(obs::event::gathered(
-            run_id_, step, result.gather_point.x, result.gather_point.y));
+      result.gather_point = c.snapped(positions[live_idx.front()]);
+      if (spec.sink != nullptr) {
+        spec.sink->on_event(obs::event::gathered(
+            spec.run_id, step, result.gather_point.x, result.gather_point.y));
       }
       break;
     }
 
-    // Crash injection (budget semantics as in the ATOM engine).
-    const crash_context cctx{step, positions_, live, nullptr};
-    for (std::size_t idx : crash_->crashes(cctx, random)) {
-      if (idx >= n || !live[idx]) continue;
-      if (live_idx.size() <= 1) break;
-      live[idx] = 0;
-      live_idx.erase(std::lower_bound(live_idx.begin(), live_idx.end(), idx));
-      ++m_crashes;
-      if (sink_ != nullptr) {
-        sink_->on_event(
-            obs::event::crash(run_id_, step, static_cast<std::int64_t>(idx)));
-      }
+    if (adversary.crash_robots(step, positions, nullptr, random, live,
+                               live_idx.size()) > 0) {
+      std::erase_if(live_idx, [&](std::size_t i) { return live[i] == 0; });
     }
 
     // Pick the robot whose phase advances, per the interleaving policy.
     std::size_t pick = live_idx.front();
-    switch (opts_.policy) {
+    switch (spec.async.policy) {
       case async_policy::atomic_sequential: {
         // Finish an armed robot first; otherwise arm the next in index order.
         const auto armed = std::find_if(live_idx.begin(), live_idx.end(), [&](std::size_t i) {
@@ -192,36 +171,33 @@ async_result async_engine::run() {
     // picked for fairness_bound steps.  At most fairness_bound robots were
     // picked in the last fairness_bound steps, so the scan stops within the
     // first fairness_bound + 1 live robots.
-    if (step >= opts_.fairness_bound) {
+    if (step >= spec.async.fairness_bound) {
       const auto starved =
           std::find_if(live_idx.begin(), live_idx.end(), [&](std::size_t i) {
-            return stamp[i] + opts_.fairness_bound <= step;
+            return stamp[i] + spec.async.fairness_bound <= step;
           });
       if (starved != live_idx.end()) pick = *starved;
     }
     stamp[pick] = step + 1;
 
     if (phases[pick] == phase::idle) {
-      targets[pick] = algo_->destination({c, c.snapped(positions_[pick])});
+      targets[pick] =
+          spec.algorithm->destination({c, c.snapped(positions[pick])});
       look_epoch[pick] = epoch;
       phases[pick] = phase::armed;
-      if (sink_ != nullptr) {
-        sink_->on_event(obs::event::activation(
-            run_id_, step, static_cast<std::int64_t>(pick)));
+      if (spec.sink != nullptr) {
+        spec.sink->on_event(obs::event::activation(
+            spec.run_id, step, static_cast<std::int64_t>(pick)));
       }
     } else {
       if (epoch != look_epoch[pick]) ++m_stale;
-      const geom::vec2 from = positions_[pick];
-      write(pick,
-            movement_->stop_point(from, targets[pick], delta_abs, random));
-      if (!c.tolerance().same_point(positions_[pick], targets[pick])) {
-        ++m_truncated;
-        if (sink_ != nullptr) {
-          sink_->on_event(obs::event::move_truncated(
-              run_id_, step, static_cast<std::int64_t>(pick),
-              geom::distance(from, targets[pick]),
-              geom::distance(from, positions_[pick])));
-        }
+      const geom::vec2 stop =
+          adversary.move(c, step, pick, positions[pick], targets[pick], random);
+      if (stop != positions[pick]) {
+        positions[pick] = stop;
+        moved[pick] = 1;
+        wrote = true;
+        ++epoch;
       }
       phases[pick] = phase::idle;
       ++m_cycles;
@@ -229,7 +205,7 @@ async_result async_engine::run() {
   }
 
   result.steps = step;
-  result.final_positions = positions_;
+  result.final_positions = positions;
   result.final_live = live;
   if (result.status != sim_status::gathered && initial_bivalent) {
     result.status = sim_status::started_bivalent;
@@ -242,14 +218,8 @@ async_result async_engine::run() {
   if (result.status == sim_status::gathered) {
     local.counter("async.gathered") = 1;
   }
-  if (metrics_ != nullptr) metrics_->merge(local);
+  if (spec.metrics != nullptr) spec.metrics->merge(local);
   return result;
-}
-
-async_result run_async(const sim_spec& spec) {
-  obs::prof_session profiling(spec.profile);
-  async_engine e(spec);
-  return e.run();
 }
 
 }  // namespace gather::sim

@@ -1,4 +1,6 @@
-// ASYNC (CORDA) execution engine -- an extension beyond the paper's model.
+// ASYNC (CORDA) execution engine -- an extension beyond the paper's model:
+// its policies, options and result.  sim::run_async (sim/spec.h) executes a
+// run.
 //
 // The paper proves WAIT-FREE-GATHER correct in the semi-synchronous ATOM
 // model, where each activated robot's Look-Compute-Move cycle is atomic
@@ -24,12 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "config/classify.h"
-#include "core/algorithm.h"
-#include "sim/crash.h"
 #include "sim/engine.h"
-#include "sim/movement.h"
-#include "sim/rng.h"
 #include "util/enum_name.h"
 
 namespace gather::sim {
@@ -95,34 +92,6 @@ struct async_result {
   std::size_t stale_moves = 0;
   /// The absolute movement guarantee the run used (see sim_result::delta_abs).
   double delta_abs = 0.0;
-};
-
-class async_engine {
- public:
-  /// Primary constructor: reads initial/algorithm/movement/crash and the
-  /// async options (plus the obs attachments) from the spec.  Throws
-  /// std::invalid_argument on missing required pieces.
-  explicit async_engine(const sim_spec& spec);
-
-  /// Attach observability (see engine::set_observer).
-  void set_observer(obs::event_sink* sink, obs::metrics_registry* metrics,
-                    std::uint64_t run_id = 0) {
-    sink_ = sink;
-    metrics_ = metrics;
-    run_id_ = run_id;
-  }
-
-  [[nodiscard]] async_result run();
-
- private:
-  std::vector<geom::vec2> positions_;
-  const core::gathering_algorithm* algo_;
-  movement_adversary* movement_;
-  crash_policy* crash_;
-  async_options opts_;
-  obs::event_sink* sink_ = nullptr;
-  obs::metrics_registry* metrics_ = nullptr;
-  std::uint64_t run_id_ = 0;
 };
 
 }  // namespace gather::sim

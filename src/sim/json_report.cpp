@@ -3,31 +3,11 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
+
+#include "obs/json.h"
 
 namespace gather::sim {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -37,11 +17,17 @@ std::string num(double v) {
   return buf;
 }
 
+std::string str(std::string_view s) {
+  std::string out;
+  obs::json_append_string(out, s);
+  return out;
+}
+
 }  // namespace
 
 void write_json_report(std::ostream& os, const sim_result& result) {
   os << "{\n";
-  os << "  \"status\": \"" << json_escape(to_string(result.status)) << "\",\n";
+  os << "  \"status\": " << str(to_string(result.status)) << ",\n";
   os << "  \"rounds\": " << result.rounds << ",\n";
   os << "  \"crashes\": " << result.crashes << ",\n";
   os << "  \"wait_free_violations\": " << result.wait_free_violations << ",\n";
@@ -58,8 +44,8 @@ void write_json_report(std::ostream& os, const sim_result& result) {
   const auto phases = class_phases(result.class_history);
   for (std::size_t i = 0; i < phases.size(); ++i) {
     if (i) os << ", ";
-    os << "{\"class\": \"" << json_escape(config::to_string(phases[i].cls))
-       << "\", \"first_round\": " << phases[i].first_round
+    os << "{\"class\": " << str(config::to_string(phases[i].cls))
+       << ", \"first_round\": " << phases[i].first_round
        << ", \"rounds\": " << phases[i].rounds << "}";
   }
   os << "],\n";
@@ -82,8 +68,8 @@ void write_json_report(std::ostream& os, const sim_result& result) {
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       const round_metrics& m = metrics[i];
       if (i) os << ", ";
-      os << "{\"round\": " << m.round << ", \"class\": \""
-         << json_escape(config::to_string(m.cls)) << "\", \"live\": "
+      os << "{\"round\": " << m.round << ", \"class\": "
+         << str(config::to_string(m.cls)) << ", \"live\": "
          << m.live_count << ", \"spread\": " << num(m.live_spread)
          << ", \"max_mult\": " << m.max_live_multiplicity << "}";
     }

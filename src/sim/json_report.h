@@ -16,7 +16,4 @@ namespace gather::sim {
 /// under "rounds".
 void write_json_report(std::ostream& os, const sim_result& result);
 
-/// JSON-escape a string (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 }  // namespace gather::sim

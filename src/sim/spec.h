@@ -1,12 +1,13 @@
 // sim_spec: the single aggregate describing one simulation run, and the
 // run()/run_async() free functions that execute it.
 //
-// Every engine entry point -- the ATOM engine, the ASYNC engine, the
-// campaign runner's cells and the CLI tools -- is reachable by filling in a
-// sim_spec and calling run() (or run_async()).  The aggregate owns no
-// polymorphic pieces: the algorithm and the adversaries are non-owning
-// pointers, so one scheduler/movement/crash instance can be reused across
-// specs.
+// The two functions are the engines: run() steps the ATOM model and
+// run_async() the ASYNC one, both through the round mechanics of
+// sim/round.h.  Every caller -- the campaign runner's cells, the CLI tools,
+// the benches -- fills in a sim_spec and calls one of them.  The aggregate
+// owns no polymorphic pieces: the algorithm and the adversaries are
+// non-owning pointers, so one scheduler/movement/crash instance can be
+// reused across specs.
 //
 //   sim::sim_spec spec;
 //   spec.initial = pts;
@@ -26,8 +27,12 @@
 #include "obs/events.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
+#include "sim/adversary_ext.h"
 #include "sim/async_engine.h"
+#include "sim/crash.h"
 #include "sim/engine.h"
+#include "sim/movement.h"
+#include "sim/scheduler.h"
 
 namespace gather::sim {
 

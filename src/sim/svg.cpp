@@ -10,6 +10,9 @@ namespace gather::sim {
 
 namespace {
 
+constexpr int kSize = 640;        ///< square canvas, pixels
+constexpr double kMargin = 24.0;  ///< pixels around the bounding box
+
 /// Categorical palette (colorblind-safe Okabe-Ito), cycled per robot.
 const char* kPalette[] = {"#0072B2", "#E69F00", "#009E73", "#CC79A7",
                           "#56B4E9", "#D55E00", "#F0E442", "#999999"};
@@ -23,8 +26,7 @@ struct mapper {
 
 }  // namespace
 
-void write_svg(std::ostream& os, const sim_result& result,
-               const svg_options& opts) {
+void write_svg(std::ostream& os, const sim_result& result) {
   // Collect every drawn point to size the viewport.
   std::vector<geom::vec2> all;
   for (const round_record& rec : result.trace) {
@@ -42,28 +44,25 @@ void write_svg(std::ostream& os, const sim_result& result,
     lo_y = std::min(lo_y, p.y); hi_y = std::max(hi_y, p.y);
   }
   const double span = std::max({hi_x - lo_x, hi_y - lo_y, 1e-9});
-  const mapper m{lo_x, lo_y,
-                 (std::min(opts.width, opts.height) - 2.0 * opts.margin) / span,
-                 static_cast<double>(opts.height), opts.margin};
+  const mapper m{lo_x, lo_y, (kSize - 2.0 * kMargin) / span,
+                 static_cast<double>(kSize), kMargin};
 
-  os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << opts.width
-     << "' height='" << opts.height << "' viewBox='0 0 " << opts.width << " "
-     << opts.height << "'>\n";
+  os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << kSize
+     << "' height='" << kSize << "' viewBox='0 0 " << kSize << " " << kSize
+     << "'>\n";
   os << "  <rect width='100%' height='100%' fill='white'/>\n";
 
-  if (opts.draw_grid) {
-    const double step = std::pow(10.0, std::floor(std::log10(span / 2.0)));
-    os << "  <g stroke='#eeeeee' stroke-width='1'>\n";
-    for (double gx = std::ceil(lo_x / step) * step; gx <= hi_x; gx += step) {
-      os << "    <line x1='" << m.x(gx) << "' y1='" << m.y(lo_y) << "' x2='"
-         << m.x(gx) << "' y2='" << m.y(hi_y) << "'/>\n";
-    }
-    for (double gy = std::ceil(lo_y / step) * step; gy <= hi_y; gy += step) {
-      os << "    <line x1='" << m.x(lo_x) << "' y1='" << m.y(gy) << "' x2='"
-         << m.x(hi_x) << "' y2='" << m.y(gy) << "'/>\n";
-    }
-    os << "  </g>\n";
+  const double step = std::pow(10.0, std::floor(std::log10(span / 2.0)));
+  os << "  <g stroke='#eeeeee' stroke-width='1'>\n";
+  for (double gx = std::ceil(lo_x / step) * step; gx <= hi_x; gx += step) {
+    os << "    <line x1='" << m.x(gx) << "' y1='" << m.y(lo_y) << "' x2='"
+       << m.x(gx) << "' y2='" << m.y(hi_y) << "'/>\n";
   }
+  for (double gy = std::ceil(lo_y / step) * step; gy <= hi_y; gy += step) {
+    os << "    <line x1='" << m.x(lo_x) << "' y1='" << m.y(gy) << "' x2='"
+       << m.x(hi_x) << "' y2='" << m.y(gy) << "'/>\n";
+  }
+  os << "  </g>\n";
 
   const std::size_t n = result.final_positions.size();
   // Trajectories.
@@ -82,10 +81,6 @@ void write_svg(std::ostream& os, const sim_result& result,
       const geom::vec2 s = result.trace.front().positions[i];
       os << "  <rect x='" << m.x(s.x) - 3 << "' y='" << m.y(s.y) - 3
          << "' width='6' height='6' fill='" << color << "'/>\n";
-      if (opts.label_robots) {
-        os << "  <text x='" << m.x(s.x) + 5 << "' y='" << m.y(s.y) - 5
-           << "' font-size='10' fill='" << color << "'>" << i << "</text>\n";
-      }
     }
     // Final marker: circle for live, X for crashed.
     const geom::vec2 f = result.final_positions[i];

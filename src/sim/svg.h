@@ -10,17 +10,9 @@
 
 namespace gather::sim {
 
-struct svg_options {
-  int width = 640;
-  int height = 640;
-  double margin = 24.0;          ///< pixels around the bounding box
-  bool draw_grid = true;
-  bool label_robots = false;     ///< robot indices at start positions
-};
-
-/// Render the trajectories of a trace-recording run.  Runs without a trace
-/// render only the final configuration.
-void write_svg(std::ostream& os, const sim_result& result,
-               const svg_options& opts = {});
+/// Render the trajectories of a trace-recording run on a 640 x 640 canvas
+/// over a light grid.  Runs without a trace render only the final
+/// configuration.
+void write_svg(std::ostream& os, const sim_result& result);
 
 }  // namespace gather::sim

@@ -101,12 +101,6 @@ TEST(JsonReport, BalancedBracesAndQuotes) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '"') % 2, 0);
 }
 
-TEST(JsonReport, EscapesStrings) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-  EXPECT_EQ(json_escape("plain"), "plain");
-}
-
 TEST(Svg, RendersWellFormedDocument) {
   rng r(11);
   const auto res = traced_run(workloads::uniform_random(5, r), 1, 4);

@@ -1,9 +1,7 @@
 // sim_spec API tests: the aggregate entry points validate their inputs, the
-// run()/run_async() free functions are deterministic and bit-identical to
-// driving the engines directly, and sim_result records the absolute delta
-// actually used.  (The deprecated positional shims these originally compared
-// against -- engine ctor, async_engine ctor, simulate, simulate_async,
-// runner::execute_one -- are gone; the sim_spec path is the only entry.)
+// run()/run_async() free functions are deterministic, and sim_result records
+// the absolute delta actually used.  run() and run_async() are the engines;
+// there is no other entry point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -81,10 +79,7 @@ TEST(SimSpec, RunAsyncValidatesRequiredPieces) {
 
 // --- spec-path equivalences --------------------------------------------------
 // The free functions must be pure functions of the spec: re-running a spec
-// with fresh adversary instances reproduces the run bit-for-bit, and driving
-// the engine class directly matches run()/run_async() exactly.  These are
-// the migrated successors of the shim-equivalence tests (the shims are
-// deleted).
+// with fresh adversary instances reproduces the run bit-for-bit.
 
 TEST(SimSpecEquivalence, RunIsDeterministicAcrossFreshAdversaries) {
   const auto pts = cloud(8, 7);
@@ -106,34 +101,6 @@ TEST(SimSpecEquivalence, RunIsDeterministicAcrossFreshAdversaries) {
     return run(spec);
   };
   expect_same_result(make_run(), make_run());
-}
-
-TEST(SimSpecEquivalence, EngineCtorMatchesRun) {
-  const auto pts = cloud(7, 9);
-  sim_options opts;
-  opts.seed = 5;
-
-  auto sched1 = make_round_robin();
-  auto move1 = make_full_movement();
-  auto crash1 = make_no_crash();
-  sim_spec spec1;
-  spec1.initial = pts;
-  spec1.algorithm = &kAlgo;
-  spec1.scheduler = sched1.get();
-  spec1.movement = move1.get();
-  spec1.crash = crash1.get();
-  spec1.options = opts;
-  engine direct(spec1);
-
-  auto sched2 = make_round_robin();
-  auto move2 = make_full_movement();
-  auto crash2 = make_no_crash();
-  sim_spec spec2 = spec1;
-  spec2.scheduler = sched2.get();
-  spec2.movement = move2.get();
-  spec2.crash = crash2.get();
-
-  expect_same_result(direct.run(), run(spec2));
 }
 
 TEST(SimSpecEquivalence, RunAsyncIsDeterministicAcrossFreshAdversaries) {
@@ -160,35 +127,6 @@ TEST(SimSpecEquivalence, RunAsyncIsDeterministicAcrossFreshAdversaries) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.crashes, b.crashes);
   EXPECT_DOUBLE_EQ(a.delta_abs, b.delta_abs);
-}
-
-TEST(SimSpecEquivalence, AsyncEngineCtorMatchesRunAsync) {
-  const auto pts = cloud(5, 23);
-  async_options opts;
-  opts.seed = 3;
-  opts.policy = async_policy::look_all_move_all;
-
-  auto move1 = make_full_movement();
-  auto crash1 = make_no_crash();
-  sim_spec spec1;
-  spec1.initial = pts;
-  spec1.algorithm = &kAlgo;
-  spec1.movement = move1.get();
-  spec1.crash = crash1.get();
-  spec1.async = opts;
-  async_engine direct(spec1);
-
-  auto move2 = make_full_movement();
-  auto crash2 = make_no_crash();
-  sim_spec spec2 = spec1;
-  spec2.movement = move2.get();
-  spec2.crash = crash2.get();
-
-  const auto a = direct.run();
-  const auto b = run_async(spec2);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.cycles, b.cycles);
 }
 
 TEST(SimSpecEquivalence, ExecuteCellIsPure) {

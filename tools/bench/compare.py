@@ -6,7 +6,8 @@ Usage:
     compare.py --bench BENCH_EXE BASELINE.json [--max-regress X]
 
 With --bench, runs `BENCH_EXE --smoke --json <tmp>` first and compares that
-output; this is the form the `bench-smoke` ctest uses.
+output.  The `bench-smoke` ctests use the first form on the one smoke run
+that `bench_smoke_run` writes.
 
 Checks (exit 1 on any violation):
   * schema must be gather-bench-scaling-v1 on both sides;
